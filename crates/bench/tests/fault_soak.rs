@@ -34,8 +34,10 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn soak_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("concord-fault-soak-{}", std::process::id()));
+/// A fresh state directory per test: test threads run in parallel, so
+/// a directory shared by two tests would be clobbered mid-run.
+fn soak_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("concord-fault-soak-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -97,7 +99,7 @@ fn reboot(dir: &Path) -> ResilientEngine {
 fn storage_and_panic_fault_soak() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
     let iters = env_u64("CONCORD_SOAK_ITERS", 48) as usize;
-    let dir = soak_dir();
+    let dir = soak_dir("soak");
     let mut plan = FaultPlan::new(seed);
 
     let corpus: Vec<(String, String)> = (0..8)
@@ -232,14 +234,14 @@ fn storage_and_panic_fault_soak() {
 
 /// Sketch persistence under `kill -9`: sketches checkpointed with the
 /// snapshot are reused after a reboot, edits that only live in the WAL
-/// invalidate exactly their configs, and a *torn* persisted sketch
-/// bundle (bit-flipped snapshot payload) falls back to the backup
-/// rather than poisoning the learner — in every case the post-reboot
+/// invalidate exactly their configs, and a *torn* segment holding a
+/// persisted sketch falls back to the backup manifest rather than
+/// poisoning the learner — in every case the post-reboot
 /// delta relearn is byte-identical to a full relearn.
 #[test]
 fn sketch_cache_survives_kill_and_torn_persistence() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("sketch");
     let mut plan = FaultPlan::new(seed ^ 0x5E7C);
 
     let corpus: Vec<(String, String)> = (0..8)
@@ -311,7 +313,7 @@ fn sketch_cache_survives_kill_and_torn_persistence() {
 #[test]
 fn kill_between_segment_writes_and_manifest_recovers_from_old_manifest() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("segkill");
     let mut plan = FaultPlan::new(seed ^ 0x0DD5);
 
     let corpus: Vec<(String, String)> = (0..6)
@@ -385,7 +387,7 @@ fn kill_between_segment_writes_and_manifest_recovers_from_old_manifest() {
 #[test]
 fn rotated_but_untruncated_wal_does_not_double_apply() {
     let seed = env_u64("CONCORD_SOAK_SEED", 0xC0C0);
-    let dir = soak_dir();
+    let dir = soak_dir("walrot");
     let mut plan = FaultPlan::new(seed ^ 0x3A1B);
 
     let corpus: Vec<(String, String)> = (0..6)

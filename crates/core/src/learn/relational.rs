@@ -524,6 +524,11 @@ pub(crate) fn mine_config(
     }
 }
 
+/// Bit offset of the pattern id inside a [`node_code`]: the bits below
+/// it (transform tag and parameter index) do not depend on pattern-id
+/// assignment.
+pub(crate) const NODE_PATTERN_SHIFT: u32 = 27;
+
 /// Packs a [`NodeKey`] into an injective 59-bit code: transform tag
 /// (11 bits: 3-bit discriminant + 8-bit payload), parameter index
 /// (16 bits), pattern id (32 bits).
@@ -538,7 +543,9 @@ pub(crate) fn node_code(node: NodeKey) -> u64 {
         TransformTag::PrefixLen => (6, 0),
         TransformTag::Lower => (7, 0),
     };
-    (d | (payload << 3)) | (u64::from(node.param) << 11) | (u64::from(node.pattern.0) << 27)
+    (d | (payload << 3))
+        | (u64::from(node.param) << 11)
+        | (u64::from(node.pattern.0) << NODE_PATTERN_SHIFT)
 }
 
 /// Inverts [`node_code`].
@@ -555,7 +562,7 @@ pub(crate) fn decode_node(code: u64) -> NodeKey {
         _ => TransformTag::Lower,
     };
     NodeKey {
-        pattern: crate::ir::PatternId((code >> 27) as u32),
+        pattern: crate::ir::PatternId((code >> NODE_PATTERN_SHIFT) as u32),
         param: ((code >> 11) & 0xffff) as u16,
         transform_tag,
     }

@@ -12,27 +12,34 @@
 //! fold + emit ([`finalize_sketches`]) — the exact same code path as a
 //! full learn, hence byte-identical contracts by construction.
 //!
-//! Sketches serialize to JSON against the dataset's [`PatternTable`]
-//! (pattern *text*, not ids, so they survive snapshot/restore where ids
-//! are reassigned). Witness hashes and diversity scores are stored as
-//! fixed-width hex bit-patterns: the JSON number type is an `f64` and
-//! cannot round-trip full-range `u64` hashes.
+//! Sketches persist in a compact binary form ([`ConfigSketch::encode`],
+//! [`ConfigSketch::decode`]) against the dataset's [`PatternTable`].
+//! Each sketch carries its own pattern dictionary — the text of every
+//! pattern it references, once — and every other field refers to a
+//! pattern by varint index into it, so a sketch survives snapshot and
+//! restore, where pattern ids are reassigned, without spelling a
+//! pattern out per reference. Witness hashes and diversity scores are
+//! raw 8-byte `u64`/`f64` bit patterns. A W2 sketch of ~1,100
+//! relational candidates encodes to a few tens of kilobytes; decoding
+//! costs one table lookup per dictionary entry plus a linear scan.
 
 use std::time::Instant;
 
-use concord_json::{FromJson, Json, ToJson};
-use concord_types::{BigNum, Transform};
+use concord_types::{BigNum, ValueType};
 
-use crate::contract::{Contract, ContractSet, RelationKind};
+use crate::codec::{put_bytes, put_u64, put_varint, Reader};
+use crate::contract::{Contract, ContractSet};
+use crate::fxhash::FxHashMap;
 use crate::ir::{Dataset, PatternId, PatternTable};
-use crate::learn::indexes::{NodeKey, TransformTag};
+use crate::learn::indexes::NodeKey;
+use crate::learn::relational::NODE_PATTERN_SHIFT;
 use crate::learn::LearnStats;
 use crate::learn::{minimize, ordering, present, range, relational, sequence, typing, unique};
 use crate::params::LearnParams;
 
 /// Format version of the serialized sketch; bump on any layout change
 /// so stale persisted sketches are dropped instead of misread.
-pub const SKETCH_FORMAT_VERSION: u64 = 1;
+pub const SKETCH_FORMAT_VERSION: u64 = 2;
 
 /// One configuration's complete miner sketch.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -268,339 +275,295 @@ pub fn sketch_params_fingerprint(params: &LearnParams) -> String {
     )
 }
 
-fn hex64(v: u64) -> Json {
-    Json::Str(format!("{v:016x}"))
+/// The binary tag of each built-in [`ValueType`]; a custom type is
+/// [`CUSTOM_TYPE_TAG`] followed by its name.
+const BUILTIN_TYPES: [ValueType; 8] = [
+    ValueType::Num,
+    ValueType::Hex,
+    ValueType::Bool,
+    ValueType::Ip4,
+    ValueType::Ip6,
+    ValueType::Pfx4,
+    ValueType::Pfx6,
+    ValueType::Mac,
+];
+const CUSTOM_TYPE_TAG: u8 = BUILTIN_TYPES.len() as u8;
+
+/// Mask of the pattern-independent low bits of a relational node code.
+const NODE_LOCAL_MASK: u64 = (1 << NODE_PATTERN_SHIFT) - 1;
+
+/// The per-sketch pattern dictionary built while encoding: each
+/// referenced pattern id gets a dense index in first-reference order.
+#[derive(Default)]
+struct Dict {
+    index: FxHashMap<PatternId, u64>,
+    order: Vec<PatternId>,
 }
 
-fn hex_f64(v: f64) -> Json {
-    hex64(v.to_bits())
+impl Dict {
+    fn idx(&mut self, pattern: PatternId) -> u64 {
+        *self.index.entry(pattern).or_insert_with(|| {
+            self.order.push(pattern);
+            self.order.len() as u64 - 1
+        })
+    }
+
+    fn node(&mut self, out: &mut Vec<u8>, node: NodeKey, extra_bits: u64, extra: u64) {
+        put_varint(out, self.idx(node.pattern));
+        put_varint(
+            out,
+            ((relational::node_code(node) & NODE_LOCAL_MASK) << extra_bits) | extra,
+        );
+    }
 }
 
-fn parse_hex64(json: &Json) -> Option<u64> {
-    u64::from_str_radix(json.as_str()?, 16).ok()
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
 }
 
-fn parse_hex_f64(json: &Json) -> Option<f64> {
-    Some(f64::from_bits(parse_hex64(json)?))
+fn put_type(out: &mut Vec<u8>, ty: &ValueType) {
+    match BUILTIN_TYPES.iter().position(|b| b == ty) {
+        Some(tag) => out.push(tag as u8),
+        None => {
+            out.push(CUSTOM_TYPE_TAG);
+            if let ValueType::Custom(name) = ty {
+                put_str(out, name);
+            }
+        }
+    }
 }
 
-fn node_to_json(node: NodeKey, table: &PatternTable) -> Json {
-    Json::Object(vec![
-        (
-            "pattern".to_string(),
-            Json::Str(table.text(node.pattern).to_string()),
-        ),
-        ("param".to_string(), u64::from(node.param).to_json()),
-        (
-            "transform".to_string(),
-            node.transform_tag.to_transform().to_json(),
-        ),
-    ])
+fn read_type(r: &mut Reader<'_>) -> Option<ValueType> {
+    match r.byte()? {
+        CUSTOM_TYPE_TAG => Some(ValueType::Custom(r.str()?.to_string())),
+        tag => BUILTIN_TYPES.get(usize::from(tag)).cloned(),
+    }
 }
 
-fn node_from_json(json: &Json, table: &PatternTable) -> Option<NodeKey> {
-    let pattern = table.get(json.get("pattern")?.as_str()?)?;
-    let param = json.get("param")?.as_u64()? as u16;
-    let transform = Transform::from_json(json.get("transform")?).ok()?;
-    Some(NodeKey {
-        pattern,
-        param,
-        transform_tag: TransformTag::from_transform(&transform),
-    })
+fn read_bignum(r: &mut Reader<'_>) -> Option<BigNum> {
+    BigNum::from_decimal(r.str()?)
+}
+
+/// Reads a node: dictionary index plus the pattern-independent code
+/// bits, the lowest `extra_bits` of which are returned separately.
+fn read_node(r: &mut Reader<'_>, dict: &[PatternId], extra_bits: u32) -> Option<(NodeKey, u64)> {
+    let pattern = *dict.get(usize::try_from(r.varint()?).ok()?)?;
+    let bits = r.varint()?;
+    let local = bits >> extra_bits;
+    if local > NODE_LOCAL_MASK {
+        return None;
+    }
+    let code = local | (u64::from(pattern.0) << NODE_PATTERN_SHIFT);
+    Some((
+        relational::decode_node(code),
+        bits & ((1 << extra_bits) - 1),
+    ))
+}
+
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let n = r.count()?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Some(out)
 }
 
 impl ConfigSketch {
-    /// Serializes against `table` (the table the sketch's pattern ids
-    /// refer to). Patterns are stored as text so the sketch survives
-    /// table rebuilds that reassign ids.
-    pub fn to_json(&self, table: &PatternTable) -> Json {
-        let patterns = Json::Array(
-            self.patterns
-                .iter()
-                .map(|&p| Json::Str(table.text(p).to_string()))
-                .collect(),
-        );
-        let constants = Json::Array(
-            self.present
-                .constants
-                .iter()
-                .map(|line| Json::Str(line.clone()))
-                .collect(),
-        );
-        let ordering = Json::Array(
-            self.ordering
-                .pairs
-                .iter()
-                .map(|&(p1, p2)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(p1).to_string()),
-                        Json::Str(table.text(p2).to_string()),
-                    ])
-                })
-                .collect(),
-        );
-        let typing = Json::Array(
-            self.typing
-                .groups
-                .iter()
-                .map(|(agnostic, holes)| {
-                    Json::Array(vec![
-                        Json::Str(agnostic.clone()),
-                        Json::Array(
-                            holes
-                                .iter()
-                                .map(|counts| {
-                                    Json::Array(
-                                        counts
-                                            .iter()
-                                            .map(|(ty, count)| {
-                                                Json::Array(vec![ty.to_json(), count.to_json()])
-                                            })
-                                            .collect(),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let sequence = Json::Array(
-            self.sequence
-                .entries
-                .iter()
-                .map(|&(pattern, param, sequential)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(pattern).to_string()),
-                        u64::from(param).to_json(),
-                        Json::Bool(sequential),
-                    ])
-                })
-                .collect(),
-        );
-        let unique = Json::Array(
-            self.unique
-                .entries
-                .iter()
-                .map(|((pattern, param), ps)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(*pattern).to_string()),
-                        u64::from(*param).to_json(),
-                        Json::Object(vec![
-                            (
-                                "distinct".to_string(),
-                                Json::Array(
-                                    ps.distinct
-                                        .iter()
-                                        .map(|(rendered, score)| {
-                                            Json::Array(vec![
-                                                Json::Str(rendered.clone()),
-                                                hex_f64(*score),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("instances".to_string(), ps.instances.to_json()),
-                            ("intra_dup".to_string(), Json::Bool(ps.intra_dup)),
-                            ("multi".to_string(), Json::Bool(ps.multi)),
-                        ]),
-                    ])
-                })
-                .collect(),
-        );
-        let range = Json::Array(
-            self.range
-                .entries
-                .iter()
-                .map(|((pattern, param), ps)| {
-                    Json::Array(vec![
-                        Json::Str(table.text(*pattern).to_string()),
-                        u64::from(*param).to_json(),
-                        Json::Object(vec![
-                            ("min".to_string(), ps.min.to_json()),
-                            ("max".to_string(), ps.max.to_json()),
-                            ("instances".to_string(), ps.instances.to_json()),
-                            (
-                                "distinct".to_string(),
-                                Json::Array(ps.distinct.iter().map(ToJson::to_json).collect()),
-                            ),
-                        ]),
-                    ])
-                })
-                .collect(),
-        );
-        let relational = Json::Array(
-            self.relational
-                .iter()
-                .map(|(code, partial)| {
-                    let key = relational::decode_cand(*code);
-                    Json::Object(vec![
-                        (
-                            "antecedent".to_string(),
-                            node_to_json(key.antecedent, table),
-                        ),
-                        ("relation".to_string(), key.relation.to_json()),
-                        (
-                            "consequent".to_string(),
-                            node_to_json(key.consequent, table),
-                        ),
-                        ("valid".to_string(), u64::from(partial.valid).to_json()),
-                        (
-                            "witnesses".to_string(),
-                            Json::Array(
-                                partial
-                                    .witnesses
-                                    .iter()
-                                    .map(|&(hash, score)| {
-                                        Json::Array(vec![hex64(hash), hex_f64(score)])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Object(vec![
-            ("patterns".to_string(), patterns),
-            ("constants".to_string(), constants),
-            ("ordering".to_string(), ordering),
-            ("typing".to_string(), typing),
-            ("sequence".to_string(), sequence),
-            ("unique".to_string(), unique),
-            ("range".to_string(), range),
-            ("relational".to_string(), relational),
-            (
-                "truncations".to_string(),
-                self.relational_truncations.to_json(),
-            ),
-        ])
+    /// Appends the binary encoding of this sketch to `out`. `table` is
+    /// the table the sketch's pattern ids refer to.
+    ///
+    /// Layout (varints unless noted; see [`crate::codec`]): the format
+    /// version, then the pattern dictionary — every referenced pattern's
+    /// text once, in first-reference order — and then each miner's
+    /// sketch with patterns as dictionary indices: pattern list,
+    /// constants, ordering pairs, type groups, sequence, unique and
+    /// range entries, the relational run (antecedent and consequent as
+    /// index + pattern-independent code bits, relation folded into the
+    /// consequent's low two bits, valid count, witnesses as raw 8-byte
+    /// hash and `f64` bits), and the fan-out truncation count. Because
+    /// patterns travel as text, a sketch survives table rebuilds that
+    /// reassign ids.
+    pub fn encode(&self, table: &PatternTable, out: &mut Vec<u8>) {
+        let mut dict = Dict::default();
+        let mut body = Vec::new();
+        put_varint(&mut body, self.patterns.len() as u64);
+        for &p in &self.patterns {
+            put_varint(&mut body, dict.idx(p));
+        }
+        put_varint(&mut body, self.present.constants.len() as u64);
+        for line in &self.present.constants {
+            put_str(&mut body, line);
+        }
+        put_varint(&mut body, self.ordering.pairs.len() as u64);
+        for &(p1, p2) in &self.ordering.pairs {
+            put_varint(&mut body, dict.idx(p1));
+            put_varint(&mut body, dict.idx(p2));
+        }
+        put_varint(&mut body, self.typing.groups.len() as u64);
+        for (agnostic, holes) in &self.typing.groups {
+            put_str(&mut body, agnostic);
+            put_varint(&mut body, holes.len() as u64);
+            for counts in holes {
+                put_varint(&mut body, counts.len() as u64);
+                for (ty, count) in counts {
+                    put_type(&mut body, ty);
+                    put_varint(&mut body, *count);
+                }
+            }
+        }
+        put_varint(&mut body, self.sequence.entries.len() as u64);
+        for &(pattern, param, sequential) in &self.sequence.entries {
+            put_varint(&mut body, dict.idx(pattern));
+            put_varint(&mut body, u64::from(param));
+            body.push(u8::from(sequential));
+        }
+        put_varint(&mut body, self.unique.entries.len() as u64);
+        for ((pattern, param), ps) in &self.unique.entries {
+            put_varint(&mut body, dict.idx(*pattern));
+            put_varint(&mut body, u64::from(*param));
+            put_varint(&mut body, ps.distinct.len() as u64);
+            for (rendered, score) in &ps.distinct {
+                put_str(&mut body, rendered);
+                put_u64(&mut body, score.to_bits());
+            }
+            put_varint(&mut body, ps.instances);
+            body.push(u8::from(ps.intra_dup) | (u8::from(ps.multi) << 1));
+        }
+        put_varint(&mut body, self.range.entries.len() as u64);
+        for ((pattern, param), ps) in &self.range.entries {
+            put_varint(&mut body, dict.idx(*pattern));
+            put_varint(&mut body, u64::from(*param));
+            put_str(&mut body, &ps.min.to_string());
+            put_str(&mut body, &ps.max.to_string());
+            put_varint(&mut body, ps.instances);
+            put_varint(&mut body, ps.distinct.len() as u64);
+            for value in &ps.distinct {
+                put_str(&mut body, &value.to_string());
+            }
+        }
+        put_varint(&mut body, self.relational.len() as u64);
+        for (code, partial) in &self.relational {
+            let key = relational::decode_cand(*code);
+            dict.node(&mut body, key.antecedent, 0, 0);
+            dict.node(&mut body, key.consequent, 2, key.relation as u64);
+            put_varint(&mut body, u64::from(partial.valid));
+            put_varint(&mut body, partial.witnesses.len() as u64);
+            for &(hash, score) in &partial.witnesses {
+                put_u64(&mut body, hash);
+                put_u64(&mut body, score.to_bits());
+            }
+        }
+        put_varint(&mut body, self.relational_truncations);
+
+        put_varint(out, SKETCH_FORMAT_VERSION);
+        put_varint(out, dict.order.len() as u64);
+        for &p in &dict.order {
+            put_str(out, table.text(p));
+        }
+        out.extend_from_slice(&body);
     }
 
-    /// Decodes a sketch against `table`, re-encoding pattern texts into
-    /// the table's current ids. Returns `None` on any shape mismatch or
-    /// when a referenced pattern is no longer interned — callers treat
-    /// that as "no sketch" and re-mine the config.
-    pub fn from_json(json: &Json, table: &PatternTable) -> Option<ConfigSketch> {
-        let pattern_of = |j: &Json| -> Option<PatternId> { table.get(j.as_str()?) };
+    /// Decodes a sketch written by [`ConfigSketch::encode`] against
+    /// `table`, mapping dictionary texts to the table's current ids.
+    /// Returns `None` for another format version, any malformed or
+    /// truncated input, trailing bytes, or a dictionary pattern that is
+    /// not interned in `table` — callers treat that as "no sketch" and
+    /// re-mine the config. Never panics.
+    pub fn decode(bytes: &[u8], table: &PatternTable) -> Option<ConfigSketch> {
+        let mut r = Reader::new(bytes);
+        if r.varint()? != SKETCH_FORMAT_VERSION {
+            return None;
+        }
+        let dict = read_list(&mut r, |r| table.get(r.str()?))?;
+        let pattern = |r: &mut Reader<'_>| -> Option<PatternId> {
+            dict.get(usize::try_from(r.varint()?).ok()?).copied()
+        };
 
-        let mut patterns = Vec::new();
-        for entry in json.get("patterns")?.as_array()? {
-            patterns.push(pattern_of(entry)?);
-        }
-        let mut constants = Vec::new();
-        for entry in json.get("constants")?.as_array()? {
-            constants.push(entry.as_str()?.to_string());
-        }
-        let mut pairs = Vec::new();
-        for entry in json.get("ordering")?.as_array()? {
-            let [p1, p2] = entry.as_array()? else {
-                return None;
+        let patterns = read_list(&mut r, pattern)?;
+        let constants = read_list(&mut r, |r| Some(r.str()?.to_string()))?;
+        let pairs = read_list(&mut r, |r| Some((pattern(r)?, pattern(r)?)))?;
+        let groups = read_list(&mut r, |r| {
+            let agnostic = r.str()?.to_string();
+            let holes = read_list(r, |r| read_list(r, |r| Some((read_type(r)?, r.varint()?))))?;
+            Some((agnostic, holes))
+        })?;
+        let sequence_entries = read_list(&mut r, |r| {
+            let p = pattern(r)?;
+            let param = r.u16()?;
+            let sequential = match r.byte()? {
+                0 => false,
+                1 => true,
+                _ => return None,
             };
-            pairs.push((pattern_of(p1)?, pattern_of(p2)?));
-        }
-        let mut groups = Vec::new();
-        for entry in json.get("typing")?.as_array()? {
-            let [agnostic, holes] = entry.as_array()? else {
+            Some((p, param, sequential))
+        })?;
+        let unique_entries = read_list(&mut r, |r| {
+            let key = (pattern(r)?, r.u16()?);
+            let distinct = read_list(r, |r| Some((r.str()?.to_string(), r.f64()?)))?;
+            let instances = r.varint()?;
+            let flags = r.byte()?;
+            if flags > 0b11 {
                 return None;
-            };
-            let mut hole_counts = Vec::new();
-            for hole in holes.as_array()? {
-                let mut counts = Vec::new();
-                for pair in hole.as_array()? {
-                    let [ty, count] = pair.as_array()? else {
-                        return None;
-                    };
-                    counts.push((
-                        concord_types::ValueType::from_json(ty).ok()?,
-                        count.as_u64()?,
-                    ));
-                }
-                hole_counts.push(counts);
             }
-            groups.push((agnostic.as_str()?.to_string(), hole_counts));
-        }
-        let mut sequence_entries = Vec::new();
-        for entry in json.get("sequence")?.as_array()? {
-            let [pattern, param, sequential] = entry.as_array()? else {
-                return None;
-            };
-            sequence_entries.push((
-                pattern_of(pattern)?,
-                param.as_u64()? as u16,
-                sequential.as_bool()?,
-            ));
-        }
-        let mut unique_entries = Vec::new();
-        for entry in json.get("unique")?.as_array()? {
-            let [pattern, param, body] = entry.as_array()? else {
-                return None;
-            };
-            let mut distinct = Vec::new();
-            for pair in body.get("distinct")?.as_array()? {
-                let [rendered, score] = pair.as_array()? else {
-                    return None;
-                };
-                distinct.push((rendered.as_str()?.to_string(), parse_hex_f64(score)?));
-            }
-            unique_entries.push((
-                (pattern_of(pattern)?, param.as_u64()? as u16),
+            Some((
+                key,
                 unique::ParamSketch {
                     distinct,
-                    instances: body.get("instances")?.as_u64()?,
-                    intra_dup: body.get("intra_dup")?.as_bool()?,
-                    multi: body.get("multi")?.as_bool()?,
+                    instances,
+                    intra_dup: flags & 1 != 0,
+                    multi: flags & 2 != 0,
                 },
-            ));
-        }
-        let mut range_entries = Vec::new();
-        for entry in json.get("range")?.as_array()? {
-            let [pattern, param, body] = entry.as_array()? else {
-                return None;
-            };
-            let mut distinct = Vec::new();
-            for value in body.get("distinct")?.as_array()? {
-                distinct.push(BigNum::from_json(value).ok()?);
-            }
-            range_entries.push((
-                (pattern_of(pattern)?, param.as_u64()? as u16),
+            ))
+        })?;
+        let range_entries = read_list(&mut r, |r| {
+            let key = (pattern(r)?, r.u16()?);
+            let min = read_bignum(r)?;
+            let max = read_bignum(r)?;
+            let instances = r.varint()?;
+            let distinct = read_list(r, read_bignum)?;
+            Some((
+                key,
                 range::ParamSketch {
-                    min: BigNum::from_json(body.get("min")?).ok()?,
-                    max: BigNum::from_json(body.get("max")?).ok()?,
-                    instances: body.get("instances")?.as_u64()?,
+                    min,
+                    max,
+                    instances,
                     distinct,
                 },
-            ));
-        }
-        let mut relational_run: relational::PartialRun = Vec::new();
-        for entry in json.get("relational")?.as_array()? {
-            let antecedent = node_from_json(entry.get("antecedent")?, table)?;
-            let relation = RelationKind::from_json(entry.get("relation")?).ok()?;
-            let consequent = node_from_json(entry.get("consequent")?, table)?;
-            let mut witnesses = Vec::new();
-            for pair in entry.get("witnesses")?.as_array()? {
-                let [hash, score] = pair.as_array()? else {
-                    return None;
-                };
-                witnesses.push((parse_hex64(hash)?, parse_hex_f64(score)?));
-            }
+            ))
+        })?;
+        let mut relational_run = read_list(&mut r, |r| {
+            let (antecedent, _) = read_node(r, &dict, 0)?;
+            let (consequent, relation) = read_node(r, &dict, 2)?;
             let code = relational::cand_code(
                 relational::node_code(antecedent),
-                relational::consequent_code(relation, consequent),
+                relation | (relational::node_code(consequent) << 2),
             );
-            relational_run.push((
+            let valid = r.u32()?;
+            let witnesses = read_list(r, |r| Some((r.u64()?, r.f64()?)))?;
+            Some((
                 code,
                 relational::Partial {
-                    valid: entry.get("valid")?.as_u64()? as u32,
+                    valid,
                     witnesses,
                     seen: None,
                 },
-            ));
+            ))
+        })?;
+        let relational_truncations = r.varint()?;
+        if !r.is_empty() {
+            return None;
         }
         // Ids may have been reassigned since the sketch was written:
         // restore the sorted-run invariant under the current encoding.
+        // Candidates are distinct by construction; a repeat is corruption.
         relational_run.sort_unstable_by_key(|&(code, _)| code);
+        if relational_run.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
 
         Some(ConfigSketch {
             patterns,
@@ -617,7 +580,7 @@ impl ConfigSketch {
                 entries: range_entries,
             },
             relational: relational_run,
-            relational_truncations: json.get("truncations")?.as_u64()?,
+            relational_truncations,
         })
     }
 }
@@ -681,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_round_trips_through_json() {
+    fn sketch_round_trips_through_bytes() {
         let ds = dataset(&rich_texts());
         let params = LearnParams {
             learn_constants: true,
@@ -690,22 +653,28 @@ mod tests {
         };
         for ci in 0..ds.configs.len() {
             let sketch = sketch_config(&ds, ci, &params);
-            let json = sketch.to_json(&ds.table);
-            let reparsed = Json::parse(&json.render()).unwrap();
-            let decoded = ConfigSketch::from_json(&reparsed, &ds.table).unwrap();
+            let mut bytes = Vec::new();
+            sketch.encode(&ds.table, &mut bytes);
+            let decoded = ConfigSketch::decode(&bytes, &ds.table).unwrap();
             assert_eq!(sketch, decoded, "sketch {ci} did not round-trip");
         }
     }
 
     #[test]
-    fn from_json_rejects_unknown_patterns() {
+    fn decode_rejects_unknown_patterns_versions_and_trailing_bytes() {
         let ds = dataset(&rich_texts());
-        let params = LearnParams::default();
-        let sketch = sketch_config(&ds, 0, &params);
-        let json = sketch.to_json(&ds.table);
+        let sketch = sketch_config(&ds, 0, &LearnParams::default());
+        let mut bytes = Vec::new();
+        sketch.encode(&ds.table, &mut bytes);
         // Decode against a table that lacks the patterns.
         let other = dataset(&["completely different\n".to_string()]);
-        assert!(ConfigSketch::from_json(&json, &other.table).is_none());
+        assert!(ConfigSketch::decode(&bytes, &other.table).is_none());
+        let mut stale = bytes.clone();
+        stale[0] = (SKETCH_FORMAT_VERSION - 1) as u8;
+        assert!(ConfigSketch::decode(&stale, &ds.table).is_none());
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(ConfigSketch::decode(&trailing, &ds.table).is_none());
     }
 
     #[test]

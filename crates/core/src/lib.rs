@@ -48,6 +48,7 @@
 //! ```
 
 mod check;
+pub mod codec;
 mod contract;
 mod fxhash;
 mod ir;

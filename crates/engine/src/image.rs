@@ -4,9 +4,10 @@
 //! is indistinguishable from the original: configuration texts in
 //! dataset order with their stable ids and generations, the metadata
 //! corpus, the contract set (kept as its exact JSON serialization so a
-//! round trip is byte-preserving), and the lifetime counters. It is
-//! deliberately *not* the engine itself — no interner, no caches, no
-//! check outcomes — so it is trivially unwind-safe and serializable,
+//! round trip is byte-preserving), the lifetime counters, and each
+//! configuration's encoded learn sketch. It is deliberately *not* the
+//! engine itself — no interner, no caches, no check outcomes — so it is
+//! trivially unwind-safe and serializable,
 //! which is what both the crash-safe store and the panic-recovery path
 //! need: a last-known-good state that a poisoned engine can never have
 //! corrupted.
@@ -20,6 +21,7 @@
 //!
 //! [`Dataset`]: concord_core::Dataset
 
+use concord_core::codec::{self, Reader};
 use concord_json::{Error as JsonError, FromJson, Json, ToJson};
 
 use crate::EngineCounters;
@@ -36,14 +38,14 @@ pub struct ImageConfig {
     pub id: u64,
     /// Edit generation.
     pub generation: u64,
-    /// This configuration's learn sketch as a complete single-config
-    /// `Engine::export_sketches`-shaped bundle, captured at checkpoint
-    /// time. Purely derived state: `None` (or a stale/undecodable
-    /// bundle) is simply re-mined by the next delta relearn. Keeping the
-    /// sketch *per config* is what makes segmented checkpoints O(dirty):
-    /// an unedited config's segment — text and sketch — never has to be
-    /// re-serialized.
-    pub sketch: Option<String>,
+    /// This configuration's learn sketch as encoded by
+    /// `Engine::export_sketch_for`, captured at checkpoint time. Purely
+    /// derived state: `None` (or stale/undecodable bytes) is simply
+    /// re-mined by the next delta relearn. Keeping the sketch *per
+    /// config* is what makes segmented checkpoints O(dirty): an
+    /// unedited config's segment — text and sketch — never has to be
+    /// re-encoded.
+    pub sketch: Option<Vec<u8>>,
 }
 
 /// A serializable last-known-good snapshot of an engine.
@@ -175,24 +177,50 @@ impl EngineImage {
     }
 }
 
-impl ToJson for ImageConfig {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("name".to_string(), self.name.to_json()),
-            ("text".to_string(), self.text.to_json()),
-            ("id".to_string(), self.id.to_json()),
-            ("generation".to_string(), self.generation.to_json()),
-            (
-                "sketch".to_string(),
-                match &self.sketch {
-                    Some(json) => Json::Str(json.clone()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+impl ImageConfig {
+    /// Appends the binary segment record: varint id and generation,
+    /// length-prefixed name and text, then a presence byte and the
+    /// length-prefixed sketch bytes when a sketch was captured.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_varint(out, self.id);
+        codec::put_varint(out, self.generation);
+        codec::put_bytes(out, self.name.as_bytes());
+        codec::put_bytes(out, self.text.as_bytes());
+        match &self.sketch {
+            Some(sketch) => {
+                out.push(1);
+                codec::put_bytes(out, sketch);
+            }
+            None => out.push(0),
+        }
+    }
+
+    /// Decodes a record written by [`ImageConfig::encode`]; `None` on
+    /// any malformed input or trailing bytes.
+    pub(crate) fn decode(bytes: &[u8]) -> Option<ImageConfig> {
+        let mut r = Reader::new(bytes);
+        let id = r.varint()?;
+        let generation = r.varint()?;
+        let name = r.str()?.to_string();
+        let text = r.str()?.to_string();
+        let sketch = match r.byte()? {
+            0 => None,
+            1 => Some(r.bytes()?.to_vec()),
+            _ => return None,
+        };
+        r.is_empty().then_some(ImageConfig {
+            name,
+            text,
+            id,
+            generation,
+            sketch,
+        })
     }
 }
 
+/// Reads the configuration of a JSON (`v1`) segment or legacy snapshot.
+/// The JSON sketch it may carry is not read: sketches are derived
+/// state, so the next relearn re-mines the config instead.
 impl FromJson for ImageConfig {
     fn from_json(value: &Json) -> Result<Self, JsonError> {
         Ok(ImageConfig {
@@ -200,13 +228,7 @@ impl FromJson for ImageConfig {
             text: req_str(value, "text")?,
             id: req_u64(value, "id")?,
             generation: req_u64(value, "generation")?,
-            // Tolerant: sketches are derived state, so a missing field
-            // (an old snapshot) or a non-string value loads as "no
-            // sketch" rather than failing the config.
-            sketch: value
-                .get("sketch")
-                .and_then(Json::as_str)
-                .map(str::to_string),
+            sketch: None,
         })
     }
 }
@@ -254,35 +276,6 @@ impl FromJson for EngineCounters {
                 .and_then(Json::as_u64)
                 .unwrap_or(0),
         })
-    }
-}
-
-impl ToJson for EngineImage {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "configs".to_string(),
-                Json::Array(self.configs.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "metadata".to_string(),
-                Json::Array(
-                    self.metadata
-                        .iter()
-                        .map(|(n, t)| Json::Array(vec![n.to_json(), t.to_json()]))
-                        .collect(),
-                ),
-            ),
-            (
-                "contracts".to_string(),
-                match &self.contracts {
-                    Some(json) => Json::Str(json.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("counters".to_string(), self.counters.to_json()),
-            ("applied_seq".to_string(), self.applied_seq.to_json()),
-        ])
     }
 }
 
@@ -335,53 +328,51 @@ impl FromJson for EngineImage {
             .get("applied_seq")
             .and_then(Json::as_u64)
             .ok_or_else(|| JsonError::custom("image missing applied_seq"))?;
-        let mut image = EngineImage {
+        Ok(EngineImage {
             configs,
             metadata,
             contracts,
             counters,
             applied_seq,
-        };
-        // Snapshots written before sketches moved into the per-config
-        // segments carried one monolithic `Engine::export_sketches`
-        // bundle; split it into per-config single-entry bundles so the
-        // rest of the engine only ever sees the per-config shape.
-        if let Some(bundle) = value.get("sketches").and_then(Json::as_str) {
-            distribute_legacy_sketches(&mut image.configs, bundle);
-        }
-        Ok(image)
+        })
     }
 }
 
-/// Splits a legacy monolithic sketch bundle into per-config
-/// single-entry bundles (each self-contained with the format version
-/// and learn-params fingerprint, so `Engine::import_sketches` applies
-/// its staleness guards unchanged). Best-effort: an unparsable bundle
-/// or an unknown config name is silently dropped — sketches are derived
-/// state and re-mining is always correct.
-fn distribute_legacy_sketches(configs: &mut [ImageConfig], bundle: &str) {
-    let Ok(bundle) = Json::parse(bundle) else {
-        return;
-    };
-    let (Some(version), Some(params)) = (bundle.get("version"), bundle.get("params")) else {
-        return;
-    };
-    let Some(entries) = bundle.get("configs").and_then(Json::as_array) else {
-        return;
-    };
-    for entry in entries {
-        let Some(name) = entry.get("name").and_then(Json::as_str) else {
-            continue;
+#[cfg(test)]
+impl EngineImage {
+    /// The JSON shape older builds wrote for monolithic snapshots and
+    /// (per config) for `v1` segments, without sketches: the fixture of
+    /// the legacy-load tests.
+    pub(crate) fn to_legacy_json(&self) -> Json {
+        let config = |c: &ImageConfig| {
+            Json::Object(vec![
+                ("name".to_string(), c.name.to_json()),
+                ("text".to_string(), c.text.to_json()),
+                ("id".to_string(), c.id.to_json()),
+                ("generation".to_string(), c.generation.to_json()),
+            ])
         };
-        let Ok(i) = configs.binary_search_by(|c| c.name.as_str().cmp(name)) else {
-            continue;
-        };
-        let single = Json::Object(vec![
-            ("version".to_string(), version.clone()),
-            ("params".to_string(), params.clone()),
-            ("configs".to_string(), Json::Array(vec![entry.clone()])),
-        ]);
-        configs[i].sketch = Some(single.render());
+        Json::Object(vec![
+            (
+                "configs".to_string(),
+                Json::Array(self.configs.iter().map(config).collect()),
+            ),
+            (
+                "metadata".to_string(),
+                Json::Array(
+                    self.metadata
+                        .iter()
+                        .map(|(n, t)| Json::Array(vec![n.to_json(), t.to_json()]))
+                        .collect(),
+                ),
+            ),
+            (
+                "contracts".to_string(),
+                self.contracts.clone().map_or(Json::Null, Json::Str),
+            ),
+            ("counters".to_string(), self.counters.to_json()),
+            ("applied_seq".to_string(), self.applied_seq.to_json()),
+        ])
     }
 }
 
@@ -412,94 +403,55 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips_through_json() {
+    fn segment_records_round_trip_and_reject_damage() {
+        let mut image = EngineImage::from_corpus(&corpus(), &[]);
+        image.upsert("dev1", "vlan 99\n");
+        image.configs[0].sketch = Some(vec![0, 10, 0x0a, 255]);
+        for config in &image.configs {
+            let mut bytes = Vec::new();
+            config.encode(&mut bytes);
+            assert_eq!(ImageConfig::decode(&bytes).as_ref(), Some(config));
+            for cut in 0..bytes.len() {
+                assert_eq!(ImageConfig::decode(&bytes[..cut]), None, "cut at {cut}");
+            }
+            bytes.push(0);
+            assert_eq!(ImageConfig::decode(&bytes), None, "trailing byte");
+        }
+    }
+
+    #[test]
+    fn legacy_json_images_decode_without_their_sketches() {
+        // Snapshots written by older builds carry JSON sketches (per
+        // config and as one top-level bundle) and may lack the
+        // contracts_edits counter. Their texts, ids and generations
+        // load; their sketches are dropped for re-mining.
         let mut image = EngineImage::from_corpus(&corpus(), &[]);
         image.upsert("dev1", "vlan 99\n");
         image.contracts = Some("{\"schema\": \"x\"}".to_string());
-        image.configs[0].sketch = Some("{\"version\": 1}".to_string());
-        image.counters.contracts_edits = 3;
         image.applied_seq = 7;
-        let json = image.to_json().render();
-        let back = EngineImage::from_json(&Json::parse(&json).expect("parses")).expect("decodes");
-        assert_eq!(image, back);
-    }
-
-    #[test]
-    fn old_images_without_sketches_still_decode() {
-        // Snapshots written before the sketches field / contracts_edits
-        // counter existed must keep loading.
-        let mut image = EngineImage::from_corpus(&corpus(), &[]);
-        image.contracts = Some("{\"schema\": \"x\"}".to_string());
-        let json = image.to_json();
-        let Json::Object(pairs) = json else {
-            panic!("image serializes as an object")
-        };
-        let pruned = Json::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| {
-                    if k == "counters" {
-                        let Json::Object(counters) = v else {
-                            panic!("counters serialize as an object")
-                        };
-                        (
-                            k,
-                            Json::Object(
-                                counters
-                                    .into_iter()
-                                    .filter(|(ck, _)| ck != "contracts_edits")
-                                    .collect(),
-                            ),
-                        )
-                    } else {
-                        (k, v)
+        let mut json = image.to_legacy_json();
+        if let Json::Object(pairs) = &mut json {
+            for (k, v) in pairs.iter_mut() {
+                if let (true, Json::Object(counters)) = (k == "counters", &mut *v) {
+                    counters.retain(|(ck, _)| ck != "contracts_edits");
+                }
+                if let (true, Json::Array(configs)) = (k == "configs", &mut *v) {
+                    for config in configs.iter_mut() {
+                        if let Json::Object(fields) = config {
+                            fields.push((
+                                "sketch".to_string(),
+                                Json::Str("{\"version\": 1}".to_string()),
+                            ));
+                        }
                     }
-                })
-                .filter(|(k, _)| k != "sketches")
-                .collect(),
-        );
-        let back = EngineImage::from_json(&pruned).expect("old shape decodes");
+                }
+            }
+            pairs.push(("sketches".to_string(), Json::Str("{}".to_string())));
+        }
+        let back = EngineImage::from_json(&json).expect("old shape decodes");
+        assert_eq!(back, image);
         assert!(back.configs.iter().all(|c| c.sketch.is_none()));
         assert_eq!(back.counters.contracts_edits, 0);
-        assert_eq!(back.configs, image.configs);
-    }
-
-    #[test]
-    fn legacy_monolithic_sketch_bundle_distributes_per_config() {
-        // A pre-segmentation snapshot carried one top-level `sketches`
-        // bundle; decoding must split it into self-contained per-config
-        // bundles (version + params preserved) and drop unknown names.
-        let image = EngineImage::from_corpus(&corpus(), &[]);
-        let Json::Object(mut pairs) = image.to_json() else {
-            panic!("image serializes as an object")
-        };
-        let bundle = concat!(
-            "{\"version\": 1, \"params\": \"fp\", \"configs\": [",
-            "{\"name\": \"dev2\", \"generation\": 0, \"sketch\": {}},",
-            "{\"name\": \"ghost\", \"generation\": 0, \"sketch\": {}}]}",
-        );
-        pairs.push(("sketches".to_string(), Json::Str(bundle.to_string())));
-        let back = EngineImage::from_json(&Json::Object(pairs)).expect("decodes");
-        let dev2 = back
-            .configs
-            .iter()
-            .find(|c| c.name == "dev2")
-            .expect("dev2 present");
-        let single = Json::parse(dev2.sketch.as_deref().expect("distributed")).expect("parses");
-        assert_eq!(single.get("version").and_then(Json::as_u64), Some(1));
-        assert_eq!(single.get("params").and_then(Json::as_str), Some("fp"));
-        assert_eq!(
-            single
-                .get("configs")
-                .and_then(Json::as_array)
-                .map(<[Json]>::len),
-            Some(1)
-        );
-        assert!(back
-            .configs
-            .iter()
-            .filter(|c| c.name != "dev2")
-            .all(|c| c.sketch.is_none()));
     }
 
     #[test]

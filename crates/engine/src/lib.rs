@@ -41,13 +41,13 @@
 use std::fmt;
 use std::time::Instant;
 
+use concord_core::codec;
 use concord_core::{
     finalize_sketches, learn_with_stats, parallel, sketch_config, sketch_params_fingerprint,
     CheckProgram, CheckReport, CheckStats, ConfigOutcome, ConfigSketch, ContractSet,
     CoverageReport, Dataset, DatasetError, EngineCheckStats, EngineStats, LearnDeltaStats,
-    LearnParams, LearnStats, MemoryStats, UniqueTable, SKETCH_FORMAT_VERSION,
+    LearnParams, LearnStats, MemoryStats, UniqueTable,
 };
-use concord_json::{Json, ToJson};
 use concord_lexer::{LexCache, Lexer};
 
 pub mod fault;
@@ -402,15 +402,12 @@ impl Engine {
         engine.lines_at_last_learn = c.lines_at_last_learn;
         engine.changed_lines_since_learn = c.changed_lines_since_learn;
         engine.contracts_edits = c.contracts_edits;
-        // Sketches are derived state: import what survives the version,
-        // params, and generation guards; anything else (including a
-        // corrupt per-config bundle) is silently re-mined by the next
-        // delta relearn.
+        // Sketches are derived state: import what survives the format,
+        // params, and generation guards; anything else is silently
+        // re-mined by the next delta relearn.
         for config in &image.configs {
-            if let Some(text) = &config.sketch {
-                if let Ok(bundle) = Json::parse(text) {
-                    engine.import_sketches(&bundle);
-                }
+            if let Some(bytes) = &config.sketch {
+                engine.import_sketch(&config.name, bytes);
             }
         }
         Ok(engine)
@@ -640,108 +637,49 @@ impl Engine {
         }
     }
 
-    /// Serializes the cached per-configuration learn sketches for
-    /// persistence. The bundle records the sketch format version, a
-    /// fingerprint of the learn parameters the sketches were mined
-    /// under, and each sketch's configuration name + edit generation, so
-    /// [`Engine::import_sketches`] can reject anything stale.
-    pub fn export_sketches(&self) -> Json {
-        let configs: Vec<Json> = self
-            .dataset
-            .configs
-            .iter()
-            .zip(&self.slots)
-            .filter_map(|(c, s)| {
-                let sketch = s.sketch.as_ref()?;
-                Some(Json::Object(vec![
-                    (
-                        "name".to_string(),
-                        Json::Str(self.dataset.name_of(c).to_string()),
-                    ),
-                    ("generation".to_string(), s.generation.to_json()),
-                    ("sketch".to_string(), sketch.to_json(&self.dataset.table)),
-                ]))
-            })
-            .collect();
-        Json::Object(vec![
-            ("version".to_string(), SKETCH_FORMAT_VERSION.to_json()),
-            (
-                "params".to_string(),
-                Json::Str(sketch_params_fingerprint(&self.options.learn)),
-            ),
-            ("configs".to_string(), Json::Array(configs)),
-        ])
-    }
-
-    /// Serializes one configuration's cached learn sketch as a complete
-    /// single-config bundle (same shape as [`Engine::export_sketches`],
-    /// with one entry), or `None` when the config is unknown or its
-    /// sketch has not been mined yet. The segmented checkpoint path
-    /// stores this per config so an unedited configuration's sketch is
-    /// never re-rendered.
-    pub fn export_sketch_for(&self, name: &str) -> Option<Json> {
+    /// Encodes one configuration's cached learn sketch for persistence,
+    /// or `None` when the config is unknown or its sketch has not been
+    /// mined yet. The bytes are a small envelope — the edit generation
+    /// the sketch was mined at and a digest of the learn-params
+    /// fingerprint — around [`ConfigSketch::encode`], so
+    /// [`Engine::import_sketch`] can reject anything stale. The
+    /// segmented checkpoint path stores these per config, so an
+    /// unedited configuration's sketch is never re-encoded.
+    pub fn export_sketch_for(&self, name: &str) -> Option<Vec<u8>> {
         let i = self.dataset.config_index(name)?;
         let slot = &self.slots[i];
         let sketch = slot.sketch.as_ref()?;
-        Some(Json::Object(vec![
-            ("version".to_string(), SKETCH_FORMAT_VERSION.to_json()),
-            (
-                "params".to_string(),
-                Json::Str(sketch_params_fingerprint(&self.options.learn)),
-            ),
-            (
-                "configs".to_string(),
-                Json::Array(vec![Json::Object(vec![
-                    ("name".to_string(), Json::Str(name.to_string())),
-                    ("generation".to_string(), slot.generation.to_json()),
-                    ("sketch".to_string(), sketch.to_json(&self.dataset.table)),
-                ])]),
-            ),
-        ]))
+        let mut out = Vec::new();
+        codec::put_varint(&mut out, slot.generation);
+        codec::put_u64(&mut out, sketch_params_digest(&self.options.learn));
+        sketch.encode(&self.dataset.table, &mut out);
+        Some(out)
     }
 
-    /// Restores cached sketches from an [`Engine::export_sketches`]
-    /// bundle, returning how many were accepted. Sketches are derived
-    /// state, so every guard fails *safe* to "no sketch" (re-mined by
-    /// the next delta relearn): a format-version or learn-params
-    /// mismatch drops the whole bundle; per configuration, an unknown
-    /// name, a generation mismatch, or an undecodable sketch (e.g. a
-    /// pattern no longer interned) drops just that entry.
-    pub fn import_sketches(&mut self, bundle: &Json) -> usize {
-        if bundle.get("version").and_then(Json::as_u64) != Some(SKETCH_FORMAT_VERSION) {
-            return 0;
-        }
-        let fingerprint = sketch_params_fingerprint(&self.options.learn);
-        if bundle.get("params").and_then(Json::as_str) != Some(fingerprint.as_str()) {
-            return 0;
-        }
-        let Some(entries) = bundle.get("configs").and_then(Json::as_array) else {
-            return 0;
+    /// Restores the cached sketch of configuration `name` from bytes
+    /// written by [`Engine::export_sketch_for`], returning whether it
+    /// was accepted. Sketches are derived state, so every guard fails
+    /// *safe* to "no sketch" (re-mined by the next delta relearn): an
+    /// unknown name, a generation mismatch, a learn-params or format
+    /// mismatch, or an undecodable sketch (e.g. a pattern no longer
+    /// interned) leaves the slot untouched.
+    pub fn import_sketch(&mut self, name: &str, bytes: &[u8]) -> bool {
+        let Some(i) = self.dataset.config_index(name) else {
+            return false;
         };
-        let mut imported = 0;
-        for entry in entries {
-            let Some(name) = entry.get("name").and_then(Json::as_str) else {
-                continue;
-            };
-            let Some(generation) = entry.get("generation").and_then(Json::as_u64) else {
-                continue;
-            };
-            let Some(i) = self.dataset.config_index(name) else {
-                continue;
-            };
-            if self.slots[i].generation != generation {
-                continue;
-            }
-            let Some(sketch) = entry
-                .get("sketch")
-                .and_then(|j| ConfigSketch::from_json(j, &self.dataset.table))
-            else {
-                continue;
-            };
-            self.slots[i].sketch = Some(sketch);
-            imported += 1;
+        let mut r = codec::Reader::new(bytes);
+        if r.varint() != Some(self.slots[i].generation)
+            || r.u64() != Some(sketch_params_digest(&self.options.learn))
+        {
+            return false;
         }
-        imported
+        match ConfigSketch::decode(r.rest(), &self.dataset.table) {
+            Some(sketch) => {
+                self.slots[i].sketch = Some(sketch);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Checks the current snapshot, recomputing only dirty
@@ -983,6 +921,17 @@ impl Engine {
             segments_skipped: 0,
         }
     }
+}
+
+/// FNV-1a 64 digest of [`sketch_params_fingerprint`]: the learn-params
+/// guard stored with every persisted sketch. The fingerprint embeds the
+/// sketch format version, so the digest guards the format too.
+fn sketch_params_digest(params: &LearnParams) -> u64 {
+    sketch_params_fingerprint(params)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
 }
 
 /// Ensures every slot holds a current outcome under `program`'s
@@ -1422,14 +1371,34 @@ mod tests {
         assert_eq!(engine.snapshot_stats().learn_delta.contracts_edits, 2);
     }
 
+    /// Every config's exported sketch bytes, by name.
+    fn export_all(engine: &Engine) -> Vec<(String, Vec<u8>)> {
+        engine
+            .generations()
+            .into_iter()
+            .filter_map(|(name, _)| {
+                let bytes = engine.export_sketch_for(&name)?;
+                Some((name, bytes))
+            })
+            .collect()
+    }
+
+    fn import_all(engine: &mut Engine, exported: &[(String, Vec<u8>)]) -> usize {
+        exported
+            .iter()
+            .filter(|(name, bytes)| engine.import_sketch(name, bytes))
+            .count()
+    }
+
     #[test]
     fn sketches_round_trip_through_export_import() {
         let mut source = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         source.relearn();
-        let bundle = source.export_sketches();
+        let exported = export_all(&source);
+        assert_eq!(exported.len(), 6);
 
         let mut restored = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
-        assert_eq!(restored.import_sketches(&bundle), 6);
+        assert_eq!(import_all(&mut restored, &exported), 6);
         assert_eq!(restored.snapshot_stats().learn_delta.sketches, 6);
         restored.relearn();
         let ld = restored.snapshot_stats().learn_delta;
@@ -1442,25 +1411,13 @@ mod tests {
     }
 
     #[test]
-    fn import_sketches_rejects_stale_bundles() {
+    fn import_sketch_rejects_stale_entries() {
         let mut source = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         source.relearn();
-        let bundle = source.export_sketches();
+        let exported = export_all(&source);
 
-        // Format-version mismatch drops the whole bundle.
-        let mut wrong_version = bundle.clone();
-        if let Json::Object(fields) = &mut wrong_version {
-            for (k, v) in fields.iter_mut() {
-                if k == "version" {
-                    *v = (SKETCH_FORMAT_VERSION + 1).to_json();
-                }
-            }
-        }
-        let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
-        assert_eq!(engine.import_sketches(&wrong_version), 0);
-
-        // Learn-params mismatch drops the whole bundle: these sketches
-        // were mined under different semantics.
+        // Learn-params mismatch (the digest also covers the format
+        // version): these sketches were mined under other semantics.
         let options = EngineOptions {
             learn: LearnParams {
                 support: 4,
@@ -1469,25 +1426,29 @@ mod tests {
             ..EngineOptions::default()
         };
         let mut engine = Engine::from_corpus(&corpus(), &[], options).unwrap();
-        assert_eq!(engine.import_sketches(&bundle), 0);
+        assert_eq!(import_all(&mut engine, &exported), 0);
 
         // A replaced config's entry is stale (generation moved on); the
-        // rest of the bundle still imports.
+        // rest still import.
         let mut engine = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
         engine.upsert_config("dev3", "vlan 9999\n");
-        assert_eq!(engine.import_sketches(&bundle), 5);
+        assert_eq!(import_all(&mut engine, &exported), 5);
         assert_eq!(engine.snapshot_stats().learn_delta.dirty, 1);
 
         // An unknown config's entry is skipped too.
         let mut engine =
             Engine::from_corpus(&corpus()[..5], &[], EngineOptions::default()).unwrap();
-        assert_eq!(engine.import_sketches(&bundle), 5);
+        assert_eq!(import_all(&mut engine, &exported), 5);
     }
 
     #[test]
     fn corrupt_persisted_sketches_are_dropped_not_fatal() {
+        let mut source = Engine::from_corpus(&corpus(), &[], EngineOptions::default()).unwrap();
+        source.relearn();
         let mut image = EngineImage::from_corpus(&corpus(), &[]);
-        image.configs[0].sketch = Some("{not json".to_string());
+        let good = source.export_sketch_for(&image.configs[1].name).unwrap();
+        image.configs[0].sketch = Some(b"not a sketch".to_vec());
+        image.configs[1].sketch = Some(good[..good.len() - 1].to_vec());
         let mut engine =
             Engine::from_image(&image, Lexer::standard(), EngineOptions::default()).unwrap();
         assert_eq!(engine.snapshot_stats().learn_delta.sketches, 0);

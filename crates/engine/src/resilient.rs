@@ -521,7 +521,7 @@ impl ResilientEngine {
         if let Some(engine) = self.engine.as_ref() {
             for config in &mut self.image.configs {
                 if config.sketch.is_none() {
-                    config.sketch = engine.export_sketch_for(&config.name).map(|j| j.render());
+                    config.sketch = engine.export_sketch_for(&config.name);
                 }
             }
         }

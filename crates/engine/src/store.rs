@@ -37,14 +37,23 @@
 //!
 //! Manifest and segment files carry a one-line header
 //! (`concord-engine-manifest/v1 crc32=XXXXXXXX` /
-//! `concord-engine-segment/v1 crc32=XXXXXXXX`) followed by the JSON
-//! payload; the checksum covers the payload, so truncated or
-//! bit-flipped files are detected rather than trusted.
+//! `concord-engine-segment/v2 crc32=XXXXXXXX`) followed by the payload
+//! and a newline; the checksum covers the payload, so truncated or
+//! bit-flipped files are detected rather than trusted. The manifest
+//! payload is JSON. A segment payload is one binary record (see
+//! `ImageConfig::encode`): varint id and generation, length-prefixed
+//! name and text, and an optional length-prefixed sketch as encoded by
+//! `Engine::export_sketch_for`. Writing a segment is therefore a few
+//! buffer copies, with no rendering or escaping.
 //!
-//! Directories written by older builds hold a monolithic
-//! `snapshot.json` (+ `.bak`). Those still load — lowest rungs of the
-//! fallback ladder — and are deleted after the first successful
-//! segmented checkpoint.
+//! Older builds wrote JSON segments (`concord-engine-segment/v1`) and,
+//! before that, a monolithic `snapshot.json` (+ `.bak`, the lowest
+//! rungs of the fallback ladder). Both still load for their
+//! configuration texts, ids and generations; the JSON sketches they
+//! carry are dropped, so the next relearn re-mines those configs. A
+//! JSON segment never primes the checkpoint skip map, so the next
+//! checkpoint rewrites it as a binary record, and the legacy snapshot
+//! pair is deleted after the first successful segmented checkpoint.
 
 use std::collections::HashMap;
 use std::io;
@@ -59,8 +68,11 @@ use crate::wal::{crc32, Wal, WalOp, WalRecord};
 
 /// Magic header prefix of a checkpoint manifest.
 const MANIFEST_MAGIC: &str = "concord-engine-manifest/v1";
-/// Magic header prefix of a per-config segment file.
-const SEGMENT_MAGIC: &str = "concord-engine-segment/v1";
+/// Magic header prefix of a per-config binary segment file.
+const SEGMENT_MAGIC: &str = "concord-engine-segment/v2";
+/// Magic header prefix of a JSON segment written by older builds
+/// (read-only).
+const LEGACY_SEGMENT_MAGIC: &str = "concord-engine-segment/v1";
 /// Magic header prefix of a legacy monolithic snapshot (read-only).
 const SNAPSHOT_MAGIC: &str = "concord-engine-snapshot/v1";
 
@@ -181,6 +193,9 @@ pub(crate) struct ImageLoad {
     pub image: EngineImage,
     /// Segment refs the loaded manifest pins (empty for legacy rungs).
     pub refs: Vec<SegRef>,
+    /// The subset of `refs` stored as binary records. Only these prime
+    /// the checkpoint skip map; a JSON segment is rewritten.
+    pub binary: Vec<SegRef>,
     pub source: LoadSource,
 }
 
@@ -259,7 +274,7 @@ impl StateDir {
                     LoadSource::Manifest | LoadSource::LegacySnapshot => {}
                 }
                 let written: HashMap<u64, (u64, bool)> = load
-                    .refs
+                    .binary
                     .iter()
                     .map(|r| (r.id, (r.generation, r.sketch)))
                     .collect();
@@ -380,6 +395,7 @@ impl StateDir {
         //    sketch) identity is not already durable, skip the rest.
         let mut stats = CheckpointStats::default();
         let mut refs: Vec<SegRef> = Vec::with_capacity(image.configs.len());
+        let mut record = Vec::new();
         for config in &image.configs {
             let sref = SegRef::of(config);
             let seg_path = seg_dir.join(sref.file_name());
@@ -388,12 +404,9 @@ impl StateDir {
             if clean {
                 stats.segments_skipped += 1;
             } else {
-                write_verified(
-                    vfs.as_ref(),
-                    &seg_path,
-                    SEGMENT_MAGIC,
-                    &config.to_json().render(),
-                )?;
+                record.clear();
+                config.encode(&mut record);
+                write_verified(vfs.as_ref(), &seg_path, SEGMENT_MAGIC, &record)?;
                 self.written
                     .insert(config.id, (sref.generation, sref.sketch));
                 stats.segments_written += 1;
@@ -412,7 +425,7 @@ impl StateDir {
         let tmp_path = self.dir.join("manifest.tmp");
         let manifest_path = self.dir.join("manifest.json");
         let bak_path = self.dir.join("manifest.json.bak");
-        write_verified(vfs.as_ref(), &tmp_path, MANIFEST_MAGIC, &payload)?;
+        write_verified(vfs.as_ref(), &tmp_path, MANIFEST_MAGIC, payload.as_bytes())?;
         if vfs.exists(&manifest_path) {
             vfs.rename(&manifest_path, &bak_path)
                 .map_err(StorageError::from_io)?;
@@ -482,33 +495,26 @@ impl StateDir {
 /// can load a leader's state without opening the directory for writing
 /// (opening would truncate the leader's WAL tail).
 pub(crate) fn load_image(vfs: &dyn Vfs, dir: &Path) -> Result<Option<ImageLoad>, StoreError> {
-    if let Some((image, refs)) = read_manifest(vfs, &dir.join("manifest.json"), dir)? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs,
-            source: LoadSource::Manifest,
-        }));
+    for (file, source) in [
+        ("manifest.json", LoadSource::Manifest),
+        ("manifest.json.bak", LoadSource::ManifestBak),
+    ] {
+        if let Some(load) = read_manifest(vfs, &dir.join(file), dir, source)? {
+            return Ok(Some(load));
+        }
     }
-    if let Some((image, refs)) = read_manifest(vfs, &dir.join("manifest.json.bak"), dir)? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs,
-            source: LoadSource::ManifestBak,
-        }));
-    }
-    if let Some(image) = read_snapshot(vfs, &dir.join("snapshot.json"))? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs: Vec::new(),
-            source: LoadSource::LegacySnapshot,
-        }));
-    }
-    if let Some(image) = read_snapshot(vfs, &dir.join("snapshot.json.bak"))? {
-        return Ok(Some(ImageLoad {
-            image,
-            refs: Vec::new(),
-            source: LoadSource::LegacySnapshotBak,
-        }));
+    for (file, source) in [
+        ("snapshot.json", LoadSource::LegacySnapshot),
+        ("snapshot.json.bak", LoadSource::LegacySnapshotBak),
+    ] {
+        if let Some(image) = read_snapshot(vfs, &dir.join(file))? {
+            return Ok(Some(ImageLoad {
+                image,
+                refs: Vec::new(),
+                binary: Vec::new(),
+                source,
+            }));
+        }
     }
     Ok(None)
 }
@@ -561,8 +567,9 @@ fn read_manifest(
     vfs: &dyn Vfs,
     path: &Path,
     dir: &Path,
-) -> Result<Option<(EngineImage, Vec<SegRef>)>, StoreError> {
-    let Some(payload) = read_verified(vfs, path, MANIFEST_MAGIC)? else {
+    source: LoadSource,
+) -> Result<Option<ImageLoad>, StoreError> {
+    let Some(payload) = read_text(vfs, path, MANIFEST_MAGIC)? else {
         return Ok(None);
     };
     let Ok(json) = Json::parse(&payload) else {
@@ -606,27 +613,44 @@ fn read_manifest(
     // identity the manifest pins.
     let seg_dir = dir.join("segments");
     let mut configs: Vec<ImageConfig> = Vec::with_capacity(refs.len());
+    let mut binary: Vec<SegRef> = Vec::with_capacity(refs.len());
     for sref in &refs {
-        let Some(payload) = read_verified(vfs, &seg_dir.join(sref.file_name()), SEGMENT_MAGIC)?
-        else {
+        let Some((magic, payload)) = read_verified(vfs, &seg_dir.join(sref.file_name()))? else {
             return Ok(None);
         };
-        let Ok(json) = Json::parse(&payload) else {
-            return Ok(None);
+        let config = match magic.as_str() {
+            SEGMENT_MAGIC => match ImageConfig::decode(&payload) {
+                Some(config) if config.sketch.is_some() == sref.sketch => {
+                    binary.push(*sref);
+                    config
+                }
+                _ => return Ok(None),
+            },
+            // A JSON segment's sketch is dropped on decode, so only its
+            // identity is checked against the ref.
+            LEGACY_SEGMENT_MAGIC => {
+                let json = String::from_utf8(payload)
+                    .ok()
+                    .and_then(|text| Json::parse(&text).ok());
+                match json.map(|json| ImageConfig::from_json(&json)) {
+                    Some(Ok(config)) => config,
+                    _ => return Ok(None),
+                }
+            }
+            _ => return Ok(None),
         };
-        let Ok(config) = ImageConfig::from_json(&json) else {
-            return Ok(None);
-        };
-        if config.id != sref.id
-            || config.generation != sref.generation
-            || config.sketch.is_some() != sref.sketch
-        {
+        if config.id != sref.id || config.generation != sref.generation {
             return Ok(None);
         }
         configs.push(config);
     }
     image.configs = configs;
-    Ok(Some((image, refs)))
+    Ok(Some(ImageLoad {
+        image,
+        refs,
+        binary,
+        source,
+    }))
 }
 
 /// Writes `payload` to `path` atomically-ish for segment/tmp use: a
@@ -637,16 +661,15 @@ fn write_verified(
     vfs: &dyn Vfs,
     path: &Path,
     magic: &str,
-    payload: &str,
+    payload: &[u8],
 ) -> Result<(), StorageError> {
     let tmp_path = path.with_extension("tmp");
     let mut tmp = vfs
         .create_truncate(&tmp_path)
         .map_err(StorageError::from_io)?;
-    tmp.write_all(format!("{magic} crc32={:08x}\n", crc32(payload.as_bytes())).as_bytes())
+    tmp.write_all(format!("{magic} crc32={:08x}\n", crc32(payload)).as_bytes())
         .map_err(StorageError::from_io)?;
-    tmp.write_all(payload.as_bytes())
-        .map_err(StorageError::from_io)?;
+    tmp.write_all(payload).map_err(StorageError::from_io)?;
     tmp.write_all(b"\n").map_err(StorageError::from_io)?;
     tmp.sync_all().map_err(StorageError::from_io)?;
     drop(tmp);
@@ -654,39 +677,49 @@ fn write_verified(
     Ok(())
 }
 
-/// Reads a crc-headed file; `Ok(None)` when missing or corrupt.
-fn read_verified(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<Option<String>, StoreError> {
-    let text = match vfs.read(path) {
-        Ok(bytes) => match String::from_utf8(bytes) {
-            Ok(text) => text,
-            Err(_) => return Ok(None),
-        },
+/// Reads a crc-headed file, returning its header magic and verified
+/// payload; `Ok(None)` when missing or corrupt.
+fn read_verified(vfs: &dyn Vfs, path: &Path) -> Result<Option<(String, Vec<u8>)>, StoreError> {
+    let mut bytes = match vfs.read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::Io(e)),
     };
-    let Some((header, payload)) = text.split_once('\n') else {
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
         return Ok(None);
     };
-    let payload = payload.strip_suffix('\n').unwrap_or(payload);
-    let Some(crc_part) = header
-        .strip_prefix(magic)
-        .and_then(|rest| rest.trim().strip_prefix("crc32="))
+    let Some((magic, want)) = std::str::from_utf8(&bytes[..newline])
+        .ok()
+        .and_then(|header| header.split_once(' '))
+        .and_then(|(magic, rest)| {
+            let crc = rest.trim().strip_prefix("crc32=")?;
+            Some((magic.to_string(), u32::from_str_radix(crc, 16).ok()?))
+        })
     else {
         return Ok(None);
     };
-    let Ok(want) = u32::from_str_radix(crc_part, 16) else {
-        return Ok(None);
-    };
-    if crc32(payload.as_bytes()) != want {
+    if bytes.last() == Some(&b'\n') && bytes.len() > newline + 1 {
+        bytes.pop();
+    }
+    bytes.drain(..=newline);
+    if crc32(&bytes) != want {
         return Ok(None);
     }
-    Ok(Some(payload.to_string()))
+    Ok(Some((magic, bytes)))
+}
+
+/// Reads a crc-headed text file with the given magic; `Ok(None)` when
+/// missing, corrupt, of another kind, or not UTF-8.
+fn read_text(vfs: &dyn Vfs, path: &Path, magic: &str) -> Result<Option<String>, StoreError> {
+    Ok(read_verified(vfs, path)?
+        .filter(|(found, _)| found == magic)
+        .and_then(|(_, payload)| String::from_utf8(payload).ok()))
 }
 
 /// Reads and verifies a legacy monolithic snapshot file; `Ok(None)`
 /// when missing *or* corrupt (the caller falls down the ladder).
 fn read_snapshot(vfs: &dyn Vfs, path: &Path) -> Result<Option<EngineImage>, StoreError> {
-    let Some(payload) = read_verified(vfs, path, SNAPSHOT_MAGIC)? else {
+    let Some(payload) = read_text(vfs, path, SNAPSHOT_MAGIC)? else {
         return Ok(None);
     };
     let Ok(json) = Json::parse(&payload) else {
@@ -812,7 +845,7 @@ mod tests {
         state.checkpoint(&image).unwrap();
 
         // A sketch landing at the same generation is a new identity …
-        image.configs[0].sketch = Some("{\"version\": 1}".to_string());
+        image.configs[0].sketch = Some(vec![2, 0, 1]);
         let captured = state.checkpoint(&image).unwrap();
         assert_eq!(captured.segments_written, 1);
 
@@ -984,7 +1017,7 @@ mod tests {
         let dir = tmp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
         let image = image_with(&[("a", "vlan 1\n"), ("b", "vlan 2\n")], 0);
-        let payload = image.to_json().render();
+        let payload = image.to_legacy_json().render();
         std::fs::write(
             dir.join("snapshot.json"),
             format!(
@@ -1006,6 +1039,59 @@ mod tests {
         let (_, load) = StateDir::open(&dir).unwrap();
         assert_eq!(load.image.expect("segmented reload"), image);
         assert!(!load.used_backup);
+    }
+
+    #[test]
+    fn json_segments_load_without_sketches_and_are_rewritten_binary() {
+        let dir = tmp_dir("jsonseg");
+        let (mut state, _) = StateDir::open(&dir).unwrap();
+        let mut image = image_with(&[("a", "vlan 1\n"), ("b", "vlan 2\n")], 0);
+        for config in &mut image.configs {
+            config.sketch = Some(vec![2, 0, 1]);
+        }
+        state.checkpoint(&image).unwrap();
+        drop(state);
+
+        // Replace every segment with the JSON record an older build
+        // wrote for the same identity, sketch included.
+        let legacy = image.to_legacy_json();
+        let configs = legacy.get("configs").and_then(Json::as_array).unwrap();
+        for (config, json) in image.configs.iter().zip(configs) {
+            let Json::Object(mut fields) = json.clone() else {
+                panic!("config serializes as an object")
+            };
+            fields.push(("sketch".to_string(), Json::Str("{}".to_string())));
+            let payload = Json::Object(fields).render();
+            let path = dir.join("segments").join(SegRef::of(config).file_name());
+            std::fs::write(
+                &path,
+                format!(
+                    "{LEGACY_SEGMENT_MAGIC} crc32={:08x}\n{payload}\n",
+                    crc32(payload.as_bytes())
+                ),
+            )
+            .unwrap();
+        }
+
+        let (mut state, load) = StateDir::open(&dir).unwrap();
+        let loaded = load.image.expect("JSON segments load");
+        assert!(!load.used_backup);
+        assert_eq!(loaded.corpus(), image.corpus());
+        assert!(loaded.configs.iter().all(|c| c.sketch.is_none()));
+
+        // Same identities, but JSON on disk: the next checkpoint rewrites
+        // every segment as a binary record.
+        let stats = state.checkpoint(&image).unwrap();
+        assert_eq!(stats.segments_written, 2);
+        for config in &image.configs {
+            let path = dir.join("segments").join(SegRef::of(config).file_name());
+            assert!(std::fs::read(path)
+                .unwrap()
+                .starts_with(SEGMENT_MAGIC.as_bytes()));
+        }
+        drop(state);
+        let (_, load) = StateDir::open(&dir).unwrap();
+        assert_eq!(load.image.expect("binary reload"), image);
     }
 
     #[test]
